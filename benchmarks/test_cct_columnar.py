@@ -14,6 +14,8 @@ writes ``BENCH_cct.json`` at the repo root, and enforces three things:
   object fallback is correct but not 3x.
 * **The view-build target when it is measurable**: the columnar top-down
   build >= 1.5x the object transform on the large tier, same gating.
+* **Engine hit cost on every tier**: a repeat ``engine.transform`` costs
+  at most 5% of the cold top-down view build it saves.
 
 CI runs this in quick mode (small + medium) and uploads the report as an
 artifact; run locally with the large tier for the headline numbers.
@@ -24,8 +26,8 @@ from __future__ import annotations
 import os
 
 from repro.bench.cct import (COLD_OPEN_TARGET_SPEEDUP, QUICK_TIERS,
-                             VIEW_BUILD_TARGET_SPEEDUP, run_cct_bench,
-                             write_report)
+                             VIEW_BUILD_TARGET_SPEEDUP, hit_gate_failures,
+                             run_cct_bench, write_report)
 from repro.core.cct_columnar import numpy_available
 
 REPORT_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -45,6 +47,7 @@ def test_cct_columnar(corpus):
         assert entry["equality"]["views_identical"]
         assert entry["equality"]["layouts_identical"]
         assert entry["cold_open"]["columnar_s"] > 0
+    assert not hit_gate_failures(report), hit_gate_failures(report)
 
     if large_enabled and numpy_available():
         speedup = report["tiers"]["large"]["cold_open"]["speedup"]

@@ -249,6 +249,10 @@ class ViewTree:
     ``root`` is first touched.  Array-aware consumers (digest, layout,
     merge, diff) read the columnar form through :meth:`columnar` and
     never pay for the facade.
+
+    ``_key`` is the tree's cache key (:func:`repro.core.digest.tree_key`):
+    the provenance key the engine stamps on trees it produces, or a
+    memoized content digest.  :meth:`mark_mutated` drops it.
     """
 
     #: The shape of the view: "top_down", "bottom_up", "flat", or a
@@ -256,6 +260,7 @@ class ViewTree:
     def __init__(self, schema: MetricSchema, shape: str = "top_down") -> None:
         self._root: Optional[ViewNode] = ViewNode(ROOT_FRAME)
         self._columnar = None
+        self._key: Optional[str] = None
         self.schema = schema
         self.shape = shape
 
@@ -266,6 +271,7 @@ class ViewTree:
         tree = cls.__new__(cls)
         tree._root = None
         tree._columnar = columnar
+        tree._key = None
         tree.schema = schema
         tree.shape = shape
         return tree
@@ -279,24 +285,29 @@ class ViewTree:
 
     @root.setter
     def root(self, node: ViewNode) -> None:
-        # Replacing the root hand-builds a new tree; any columnar
-        # snapshot no longer describes it.
+        # Replacing the root hand-builds a new tree; neither a columnar
+        # snapshot nor a cache key describes it any more.
         self._root = node
         self._columnar = None
+        self._key = None
 
     def columnar(self):
         """The backing column arrays, or None for object-built trees."""
         return self._columnar
 
     def mark_mutated(self) -> None:
-        """Drop the columnar snapshot after in-place facade mutation.
+        """Drop the cache key and columnar snapshot after in-place
+        facade mutation.
 
         Mutators (``formula.derive``, ``diff.add_delta_column``, derived
         -metric callbacks) edit the materialized ``ViewNode`` dicts; the
-        arrays no longer agree, so array-path consumers must fall back
-        to the objects.  Materializes first so no data is lost when a
-        mutator is applied to a never-touched lazy tree.
+        key no longer names the content, so the engine re-keys the tree
+        by a fresh digest, and the arrays no longer agree, so array-path
+        consumers must fall back to the objects.  Materializes first so
+        no data is lost when a mutator is applied to a never-touched lazy
+        tree.
         """
+        self._key = None
         if self._columnar is not None:
             if self._root is None:
                 self._root = self._columnar.materialize()

@@ -27,6 +27,12 @@ numbers for a fast path that drifted.
 
 Documented targets on the large tier (see ``docs/PERFORMANCE.md``):
 columnar cold open >= 3x, top-down view build >= 1.5x.
+
+It also gates the analysis engine's cache on every tier: ``engine_key_s``
+is the one-time cost of keying a profile (its content digest) and
+``engine_hit_s`` the cost of a repeat ``engine.transform``.  A hit must
+cost at most :data:`ENGINE_HIT_MAX_SHARE` of the cold top-down view build
+it saves, or :func:`hit_gate_failures` reports the tier.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from ..analysis.diff import diff_profiles, diff_trees
 from ..core.atomicio import atomic_write_text
 from ..core.cct_columnar import ColumnarCCT, numpy_available
 from ..core.digest import profile_digest, viewtree_digest
+from ..engine import AnalysisEngine
 from ..profilers.corpus import generate_bytes, tier
 from ..viz.layout import layout
 
@@ -56,6 +63,10 @@ COLD_OPEN_TARGET_SPEEDUP = 3.0
 VIEW_BUILD_TARGET_SPEEDUP = 1.5
 
 DEFAULT_REPORT = "BENCH_cct.json"
+
+#: An engine cache hit may cost at most this share of the cold top-down
+#: view build it saves, on every tier.
+ENGINE_HIT_MAX_SHARE = 0.05
 
 
 class OracleMismatch(AssertionError):
@@ -209,6 +220,18 @@ def bench_tier(name: str, repeats: int = 3) -> Dict[str, object]:
         "layout_object": lambda: layout(ref_view),
     }, repeats)
 
+    # Engine keys: the once-per-profile content digest, then a repeat
+    # request, which reads only the profile's stamp and the LRU.
+    engine = AnalysisEngine(max_workers=1)
+    engine.transform(fast, "top_down")
+
+    # Timed apart: a hit right after a cold key would measure the cache
+    # misses the digest walk left behind, not the steady state.
+    engine_times = _interleaved_best(
+        {"key": lambda: profile_digest(fast)}, repeats)
+    engine_times.update(_interleaved_best(
+        {"hit": lambda: engine.transform(fast, "top_down")}, max(repeats, 5)))
+
     kernel_times = None
     if columnar is not None:
         # Rewrap the arrays per call so lazily-cached kernels (pre-order,
@@ -268,6 +291,10 @@ def bench_tier(name: str, repeats: int = 3) -> Dict[str, object]:
             "speedup": round(layout_times["layout_object"]
                              / layout_times["layout_columnar"], 2),
         },
+        "engine_key_s": round(engine_times["key"], 6),
+        "engine_hit_s": round(engine_times["hit"], 6),
+        "engine_hit_share": round(
+            engine_times["hit"] / view_times["top_down_columnar"], 4),
         "equality": {
             "digest_equal": True,
             "trees_identical": True,
@@ -306,6 +333,21 @@ def run_cct_bench(tiers: Optional[Iterable[str]] = None,
     return report
 
 
+def hit_gate_failures(report: Dict[str, object]) -> List[str]:
+    """Tiers whose engine hit costs more than the allowed share of a cold
+    view build, as messages (empty when the gate passes)."""
+    failures = []
+    for name, entry in report["tiers"].items():
+        if entry["engine_hit_share"] > ENGINE_HIT_MAX_SHARE:
+            failures.append(
+                "tier %r: an engine hit costs %.6fs, %.1f%% of the cold "
+                "top-down build (limit %.0f%%)"
+                % (name, entry["engine_hit_s"],
+                   100 * entry["engine_hit_share"],
+                   100 * ENGINE_HIT_MAX_SHARE))
+    return failures
+
+
 def write_report(report: Dict[str, object],
                  path: str = DEFAULT_REPORT) -> str:
     atomic_write_text(path,
@@ -333,6 +375,12 @@ def format_report(report: Dict[str, object]) -> str:
                entry["aggregate"]["speedup"], entry["diff"]["speedup"],
                entry["layout"]["speedup"]))
     lines.append("(columnar speedup over the object path, min-of-N each)")
+    for name, entry in report["tiers"].items():
+        lines.append(
+            "%-8s engine key %.4fs, hit %.6fs = %.2f%% of a cold view "
+            "build (limit %.0f%%)"
+            % (name, entry["engine_key_s"], entry["engine_hit_s"],
+               100 * entry["engine_hit_share"], 100 * ENGINE_HIT_MAX_SHARE))
     if "large" in report["tiers"]:
         large = report["tiers"]["large"]
         lines.append("large-tier cold open speedup %.2fx (target >= %.1fx)"

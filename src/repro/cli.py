@@ -927,7 +927,8 @@ def _cmd_bench_codec(args: argparse.Namespace) -> int:
 def _cmd_bench_cct(args: argparse.Namespace) -> int:
     """Run the columnar CCT benchmark (same harness as CI)."""
     from .bench.cct import (FULL_TIERS, OracleMismatch, QUICK_TIERS,
-                            format_report, run_cct_bench, write_report)
+                            format_report, hit_gate_failures, run_cct_bench,
+                            write_report)
 
     tiers = QUICK_TIERS if args.quick else FULL_TIERS
     try:
@@ -945,7 +946,10 @@ def _cmd_bench_cct(args: argparse.Namespace) -> int:
         print(format_report(report))
         if args.out:
             print("report written to %s" % args.out)
-    return 0
+    failures = hit_gate_failures(report)
+    for failure in failures:
+        print("easyview: engine hit cost: %s" % failure, file=sys.stderr)
+    return 2 if failures else 0
 
 
 def _cmd_bench_serve(args: argparse.Namespace) -> int:

@@ -24,6 +24,10 @@ from .base import Converter, register
 
 _LOCATION_RE = re.compile(r"^(?P<name>.*?)\s+\((?P<file>[^():]+):(?P<line>\d+)\)$")
 _MODULE_RE = re.compile(r"^(?P<module>[^`]+)`(?P<name>.+)$")
+#: A sample count as :func:`serialize` writes it: an exact integer, or a
+#: float's ``repr`` (exponent, ``inf`` and ``nan`` included).
+_COUNT_RE = re.compile(
+    r"^[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|inf|nan)$")
 
 
 def _parse_frame(token: str) -> Frame:
@@ -73,6 +77,14 @@ def parse(data: bytes) -> Profile:
     return builder.build()
 
 
+def _format_count(value: float) -> str:
+    """The count exactly: integral values as integers (stackcollapse
+    style), others as the float's shortest round-tripping ``repr``."""
+    if value.is_integer():
+        return "%d" % value
+    return repr(value)
+
+
 def serialize(profile: Profile, metric: str = "") -> str:
     """Render a profile as folded stacks (for round-trips and export)."""
     index = (profile.schema.index_of(metric) if metric else 0)
@@ -83,7 +95,7 @@ def serialize(profile: Profile, metric: str = "") -> str:
             continue
         path = ";".join(frame.name for frame in node.call_path())
         if path:
-            lines.append("%s %g" % (path, value))
+            lines.append("%s %s" % (path, _format_count(value)))
     lines.sort()
     return "\n".join(lines) + "\n"
 
@@ -102,7 +114,7 @@ def _sniff(data: bytes, path: str) -> bool:
         return False
     sample = lines[0]
     stack, _, count = sample.rpartition(" ")
-    return bool(stack) and ";" in stack and count.replace(".", "").isdigit()
+    return bool(stack) and ";" in stack and bool(_COUNT_RE.match(count))
 
 
 register(Converter(

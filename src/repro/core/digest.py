@@ -1,11 +1,10 @@
-"""Stable content digests for profiles and view trees.
+"""Stable content digests and the cheap cache keys built on them.
 
 The analysis engine (:mod:`repro.engine`) memoizes expensive operations —
-transforms, diffs, aggregation, layout — keyed by the *content* of their
-inputs rather than object identity, so equal profiles share cached results
-and any mutation is picked up on the next request.  The digests here are
-that key material: a short BLAKE2b hash over everything an analysis can
-observe.
+transforms, diffs, aggregation, layout — keyed so that equal profiles
+share cached results and any mutation is picked up on the next request.
+The digests here are the content half of that key material: a short
+BLAKE2b hash over everything an analysis can observe.
 
 * :func:`profile_digest` covers the metric schema, the CCT structure (frame
   identities plus parent/child shape), every node's exclusive metric
@@ -18,9 +17,19 @@ observe.
 
 Digests are *stable*: children are visited in a canonical sort order, so
 two profiles built from the same samples in a different insertion order
-digest identically.  Digesting is a single O(nodes) walk with no
-allocation per node beyond the hash state — far cheaper than any of the
-operations it guards.
+digest identically.  They are also O(nodes) — on a medium profile a
+digest costs about as much as the view build it would guard — so the
+engine never computes one per request.  Its keys come from:
+
+* :func:`profile_key` — the content digest, memoized on the profile's
+  O(1) :meth:`~repro.core.profile.Profile.stamp`; an unchanged profile is
+  digested once, however many requests name it.
+* :func:`provenance_key` — the key of a tree the engine produced, hashed
+  from the operation and its inputs' keys; stored on the tree, so layout,
+  line attribution, diff, and merge of it never walk its nodes.
+* :func:`tree_key` — a tree's provenance key, or for a tree built
+  outside the engine its content digest, memoized on the tree until
+  :meth:`~repro.analysis.viewtree.ViewTree.mark_mutated` drops it.
 """
 
 from __future__ import annotations
@@ -313,3 +322,32 @@ def viewtree_digest(tree: "ViewTree") -> str:
         children = sorted(node.children.items(), key=lambda kv: repr(kv[0]))
         stack.extend((child, False) for _, child in reversed(children))
     return h.hexdigest()
+
+
+def profile_key(profile: "Profile") -> str:
+    """:func:`profile_digest`, memoized on the profile's version stamp."""
+    stamp = profile.stamp()
+    memo = profile._key_memo
+    if memo is not None and memo[0] == stamp:
+        return memo[1]
+    key = profile_digest(profile)
+    profile._key_memo = (stamp, key)
+    return key
+
+
+def provenance_key(parts: tuple) -> str:
+    """Hex key of an operation's output from its name, input keys, and
+    canonical options (all strings, numbers, or tuples of them, whose
+    ``repr`` is stable)."""
+    h = hashlib.blake2b(digest_size=_DIGEST_SIZE, person=b"provenance")
+    h.update(repr(parts).encode("utf-8", "surrogatepass"))
+    return h.hexdigest()
+
+
+def tree_key(tree: "ViewTree") -> str:
+    """A view tree's cache key: the provenance key the engine stamped on
+    it, else its content digest (memoized until ``mark_mutated``)."""
+    key = tree._key
+    if key is None:
+        key = tree._key = viewtree_digest(tree)
+    return key

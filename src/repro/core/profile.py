@@ -38,15 +38,58 @@ class Profile:
     it lazily, so facade consumers — callbacks, lint rules, the viewer —
     never notice.  Mutating the object tree bumps its version counter,
     which invalidates the columnar snapshot automatically.
+
+    :meth:`stamp` is an O(1) version of everything a content digest
+    covers; :func:`repro.core.digest.profile_key` memoizes the digest on
+    it, so an unchanged profile is digested once.
     """
 
     def __init__(self, schema: Optional[MetricSchema] = None,
                  meta: Optional[ProfileMeta] = None) -> None:
         self._cct: Optional[CCT] = CCT()
         self._columnar = None
-        self.schema = schema if schema is not None else MetricSchema()
-        self.points: List[MonitoringPoint] = []
+        #: Bumped when a whole representation, schema, or point list is
+        #: swapped in; in-place growth is read off the counters in stamp().
+        self._version = 0
+        #: ``(stamp, content digest)`` kept by ``profile_key``.
+        self._key_memo = None
+        self._schema = schema if schema is not None else MetricSchema()
+        self._points: List[MonitoringPoint] = []
         self.meta = meta if meta is not None else ProfileMeta()
+
+    @property
+    def schema(self) -> MetricSchema:
+        return self._schema
+
+    @schema.setter
+    def schema(self, value: MetricSchema) -> None:
+        self._schema = value
+        self._version += 1
+
+    @property
+    def points(self) -> List[MonitoringPoint]:
+        return self._points
+
+    @points.setter
+    def points(self, value: List[MonitoringPoint]) -> None:
+        self._points = value
+        self._version += 1
+
+    def stamp(self) -> tuple:
+        """An O(1) version of the profile's digested content.
+
+        It changes whenever the content can have changed: node creation
+        and ``add_value``/``set_value`` bump ``CCT._version``; the
+        ``cct`` setter and :meth:`attach_columnar` bump the profile's own
+        counter; and the schema and point list only grow in place
+        (``add_metric``, ``add_point``), so their lengths version them.
+        A columnar snapshot counts only while it is synced to the object
+        tree (or is the sole representation), which the same counters
+        cover.  Writing ``node.metrics`` dicts directly is not stamped.
+        """
+        cct = self._cct
+        return (self._version, None if cct is None else cct._version,
+                len(self._schema), len(self._points))
 
     # -- representations ---------------------------------------------------
 
@@ -55,13 +98,19 @@ class Profile:
         """The object CCT, materialized from the columnar form on demand."""
         cct = self._cct
         if cct is None:
+            before = self.stamp()
             cct = self._cct = self._columnar.to_cct()
+            memo = self._key_memo
+            if memo is not None and memo[0] == before:
+                # Same content, new representation: keep the digest.
+                self._key_memo = (self.stamp(), memo[1])
         return cct
 
     @cct.setter
     def cct(self, value: CCT) -> None:
         self._cct = value
         self._columnar = None
+        self._version += 1
 
     def attach_columnar(self, columnar) -> None:
         """Adopt a columnar CCT as this profile's contents.
@@ -71,6 +120,7 @@ class Profile:
         """
         self._cct = None
         self._columnar = columnar
+        self._version += 1
 
     def columnar(self, build: bool = False):
         """The columnar snapshot, or ``None`` when absent or stale.

@@ -1,8 +1,8 @@
 """The engine's LRU result cache with hit/miss/eviction accounting.
 
 One cache instance backs one :class:`~repro.engine.AnalysisEngine`.  Keys
-are ``(operation, *content digests, *canonicalized options)`` tuples built
-by the engine; values are whatever the operation produced (view trees,
+are ``(operation, *profile or tree keys, *canonicalized options)`` tuples
+built by the engine; values are whatever the operation produced (view trees,
 layouts, attribution tables).  The cache is thread-safe: the engine's
 worker pool may populate it from several threads at once.
 """

@@ -5,21 +5,27 @@ analysis pipeline; on a large profile recomputing a transform or a diff per
 keystroke busts the paper's sub-second interaction budget (§VI).  The
 :class:`AnalysisEngine` sits between the consumers (the PVP viewer session,
 :class:`~repro.viz.flamegraph.FlameGraph`, the CLI) and the analysis
-functions, memoizing results in an LRU cache keyed by *content digests*
-(:mod:`repro.core.digest`) plus canonicalized options.
+functions, memoizing results in an LRU cache.  A key must cost far less
+than the work it guards, so every key part is O(1) to read on a repeat
+request (:mod:`repro.core.digest`):
 
-Keying by content rather than identity buys two properties:
+* **Profiles** key on their content digest, memoized on the profile's
+  version stamp (:func:`~repro.core.digest.profile_key`).  Mutating a
+  profile (new samples, values, points, metrics, a replaced CCT) moves
+  the stamp, so the next request re-digests and recomputes; equal
+  profiles (the same file opened twice, a serialization round trip)
+  still share one cached transform.
+* **View trees** the engine produces carry the *provenance* key of the
+  operation that made them — ``H("transform", profile key, shape,
+  options)`` and so on — so layout, line attribution, diff, and merge of
+  an engine tree never digest it.  Trees built elsewhere key on their
+  content digest, memoized on the tree.  ``ViewTree.mark_mutated`` drops
+  either; it and the profile stamps are the only invalidation there is.
 
-* **Invalidation for free** — mutating a profile (new samples, new points)
-  changes its digest, so the next request recomputes; no dirty bits, no
-  explicit invalidation calls.
-* **Cross-object sharing** — two equal profiles (the same file opened
-  twice, a profile round-tripped through serialization) share one cached
-  transform.
-
-Options that cannot be canonicalized — a user callback customization, an
-arbitrary zoom root — bypass the cache rather than risking a wrong hit;
-bypasses are counted separately in the stats.
+Keys are computed inside the ``engine.<op>`` span, so a trace charges
+key cost to the operation.  Options that cannot be canonicalized — a user
+callback customization, an arbitrary zoom root — bypass the cache rather
+than risking a wrong hit; bypasses are counted separately in the stats.
 
 N-profile work (aggregation's per-profile transforms, per-file annotation
 batches) fans out through a :class:`~repro.engine.parallel.WorkerPool`.
@@ -37,7 +43,7 @@ from ..analysis import diff as diff_mod
 from ..analysis.transform import transform as transform_fn
 from ..analysis.viewtree import (ViewNode, ViewTree, default_merge_key,
                                  line_merge_key)
-from ..core.digest import profile_digest, viewtree_digest
+from ..core.digest import profile_key, provenance_key, tree_key
 from ..core.metric import Aggregation
 from ..core.profile import Profile
 from ..obs import get_tracer
@@ -85,38 +91,28 @@ class AnalysisEngine:
                  max_workers: Optional[int] = None) -> None:
         self.cache = LRUCache(capacity)
         self.pool = WorkerPool(max_workers)
-        #: id(tree) → (weakref, digest).  View trees are pinned by their
-        #: consumers (the session's ``opened.views``) and only mutated
-        #: through functions that call :func:`invalidate_everywhere`, so
-        #: their digests can be memoized per object; profiles mutate freely
-        #: (converters keep appending samples) and are digested fresh on
-        #: every request.
-        self._tree_digests: Dict[int, Tuple[Any, str]] = {}
         _live_engines.add(self)
-
-    def _tree_digest(self, tree: ViewTree) -> str:
-        key = id(tree)
-        entry = self._tree_digests.get(key)
-        if entry is not None and entry[0]() is tree:
-            return entry[1]
-        digest = viewtree_digest(tree)
-        ref = weakref.ref(
-            tree, lambda _, k=key: self._tree_digests.pop(k, None))
-        self._tree_digests[key] = (ref, digest)
-        return digest
 
     # -- cache plumbing ----------------------------------------------------
 
-    def _memoize(self, operation: str, key_parts: Tuple,
+    def _memoize(self, operation: str, key_parts: Callable[[], Tuple],
                  compute: Callable[[], Any]) -> Any:
-        key = (operation,) + key_parts
+        """Look up ``(operation, *key_parts())``, computing on a miss.
+
+        A view tree computed here is stamped with the provenance key of
+        the lookup (unless it already carries one: a windowed aggregate
+        returns the tree its inner aggregation keyed).
+        """
         with _tracer.span("engine." + operation) as span:
+            key = (operation,) + key_parts()
             found, value = self.cache.lookup(operation, key)
             if span is not None:
                 span.set("hit", found)
             if found:
                 return value
             value = compute()
+            if isinstance(value, ViewTree) and value._key is None:
+                value._key = provenance_key(key)
             self.cache.store(key, value)
             return value
 
@@ -141,9 +137,9 @@ class AnalysisEngine:
                  if k != "customization"])
         except _Uncacheable:
             return self._bypass("transform", compute)
-        return self._memoize("transform",
-                             (profile_digest(profile), shape, options),
-                             compute)
+        return self._memoize(
+            "transform", lambda: (profile_key(profile), shape, options),
+            compute)
 
     def layout(self, tree: ViewTree, metric_index: int = 0,
                canvas_width: float = 1200.0, min_width: float = 0.5,
@@ -159,8 +155,8 @@ class AnalysisEngine:
             return self._bypass("layout", compute)
         return self._memoize(
             "layout",
-            (self._tree_digest(tree), metric_index, canvas_width, min_width,
-             max_depth),
+            lambda: (tree_key(tree), metric_index, canvas_width, min_width,
+                     max_depth),
             compute)
 
     def diff_trees(self, baseline: ViewTree, treatment: ViewTree,
@@ -175,9 +171,7 @@ class AnalysisEngine:
         except _Uncacheable:
             return self._bypass("diff", compute)
         return self._memoize(
-            "diff",
-            (self._tree_digest(baseline), self._tree_digest(treatment),
-             options),
+            "diff", lambda: (tree_key(baseline), tree_key(treatment), options),
             compute)
 
     def diff_profiles(self, baseline: Profile, treatment: Profile,
@@ -187,8 +181,8 @@ class AnalysisEngine:
         """Memoized :func:`repro.analysis.diff.diff_profiles`."""
         return self._memoize(
             "diff",
-            (profile_digest(baseline), profile_digest(treatment), shape,
-             metric, tolerance),
+            lambda: (profile_key(baseline), profile_key(treatment), shape,
+                     metric, tolerance),
             lambda: diff_mod.diff_profiles(baseline, treatment, shape=shape,
                                            metric=metric,
                                            tolerance=tolerance))
@@ -204,7 +198,7 @@ class AnalysisEngine:
             return self._bypass("aggregate", compute)
         return self._memoize(
             "aggregate",
-            (tuple(self._tree_digest(tree) for tree in trees), options),
+            lambda: (tuple(tree_key(tree) for tree in trees), options),
             compute)
 
     def aggregate_profiles(self, profiles: Sequence[Profile],
@@ -233,7 +227,7 @@ class AnalysisEngine:
 
         return self._memoize(
             "aggregate",
-            (tuple(profile_digest(p) for p in profiles), options),
+            lambda: (tuple(profile_key(p) for p in profiles), options),
             compute)
 
     def aggregate_window(self, window_key: str, loader: Callable[[], Any],
@@ -261,7 +255,7 @@ class AnalysisEngine:
                 lambda: self.aggregate_profiles(loader(), shape=shape,
                                                 operators=operators))
         return self._memoize(
-            "window", (options,),
+            "window", lambda: (options,),
             lambda: self.aggregate_profiles(loader(), shape=shape,
                                             operators=operators))
 
@@ -270,14 +264,14 @@ class AnalysisEngine:
     def line_attribution(self, tree: ViewTree) -> Dict:
         """Memoized per-(file, line) exclusive-value attribution."""
         from ..ide.annotations import line_attribution
-        return self._memoize("annotation", (self._tree_digest(tree), "lines"),
+        return self._memoize("annotation", lambda: (tree_key(tree), "lines"),
                              lambda: line_attribution(tree))
 
     def assembly_attribution(self, tree: ViewTree) -> Dict:
         """Memoized per-line assembly annotations."""
         from ..ide.annotations import assembly_attribution
         return self._memoize("annotation",
-                             (self._tree_digest(tree), "assembly"),
+                             lambda: (tree_key(tree), "assembly"),
                              lambda: assembly_attribution(tree))
 
     def code_lenses(self, tree: ViewTree, file: Optional[str] = None,
@@ -316,16 +310,12 @@ class AnalysisEngine:
     def invalidate_value(self, value: Any) -> int:
         """Forget cache entries holding ``value`` (mutated-in-place results).
 
-        Also drops the object's memoized digest, so the next request keys
-        it by its post-mutation content.  Returns the number of cache
-        entries dropped.
+        Returns the number of cache entries dropped.
         """
-        self._tree_digests.pop(id(value), None)
         return self.cache.forget_value(value)
 
     def clear(self) -> None:
-        """Drop every cached result and digest memo (counters survive)."""
-        self._tree_digests.clear()
+        """Drop every cached result (counters survive)."""
         self.cache.clear()
 
     def reset_stats(self) -> None:
@@ -349,18 +339,20 @@ _default_lock = threading.Lock()
 
 
 def invalidate_everywhere(value: Any) -> int:
-    """Forget ``value`` in every live engine's cache.
+    """Mark ``value`` mutated and forget it in every live engine's cache.
 
     The in-place tree mutators (the formula engine's ``derive``, the diff
-    module's ``add_delta_column``) call this so a mutated tree is never
-    served under its pre-mutation content key, whichever engine cached it.
-    Returns the total number of entries dropped.
+    module's ``add_delta_column``) call this.  ``mark_mutated`` drops the
+    tree's key, so results derived *from* it (layouts, attribution,
+    diffs) re-key by its new content; forgetting it drops the tree itself
+    as the cached answer of the operation that produced it, whichever
+    engine cached it.  Returns the total number of entries dropped.
 
-    Columnar-backed view trees additionally drop their array backing here
-    (after forcing the facade, so pending lazy reads keep pre-mutation
-    values out of the picture): the mutators write through the ``ViewNode``
-    objects, and a survivor columnar plane would keep serving — and
-    digesting — the stale values.
+    Columnar-backed view trees additionally drop their array backing in
+    ``mark_mutated`` (after forcing the facade, so pending lazy reads keep
+    pre-mutation values out of the picture): the mutators write through
+    the ``ViewNode`` objects, and a survivor columnar plane would keep
+    serving — and digesting — the stale values.
     """
     mark = getattr(value, "mark_mutated", None)
     if mark is not None:

@@ -441,9 +441,12 @@ class ViewerSession:
 
         The merged tree becomes a regular :class:`OpenedProfile`: it gets
         a profile id, node references, layouts, exports — every ``view/*``
-        request works on it unchanged.
+        request works on it unchanged.  The merge is keyed on the
+        matching records' identities (:meth:`ProfileStore.query_window`),
+        so a repeat over an unchanged store loads only the opened
+        profile's own record.
         """
-        result = self.store(root).query(query, shape=shape)
+        result = self.store(root).query_window(query, shape=shape)
         if result.tree is None:
             raise ProtocolError("query %r matched no records"
                                 % result.query.to_text())

@@ -23,7 +23,9 @@ reproduces the *same* file name, so nothing is duplicated.
 **Query** runs merge-on-read: the label/time index selects records, their
 profiles load (fanning out through the engine's worker pool), and the
 merge routes through :class:`~repro.engine.AnalysisEngine`, so a repeated
-query is a digest-keyed cache hit rather than a recomputation.
+query reuses the merged tree rather than recomputing it;
+:meth:`ProfileStore.query_window` (``view/openQuery``, ``watch``) keys the
+merge on record membership and skips the loads as well.
 
 **Compaction** merges small segments into one (same merge-on-read
 contract before and after — the CI smoke test asserts the merged tree is
@@ -314,8 +316,10 @@ class ProfileStore:
         Profile loads fan out through the engine's worker pool; the merge
         itself is the engine's memoized ``aggregate_profiles``, keyed by
         the profiles' content digests — so re-running a query over
-        unchanged data is a cache hit, whichever segments the records
-        live in (compaction does not change the answer *or* the key).
+        unchanged data reuses the merged tree, whichever segments the
+        records live in (compaction does not change the answer *or* the
+        key).  A repeat still loads and digests every matching record
+        before that lookup; :meth:`query_window` skips the loads.
         """
         with _tracer.span("store.query") as span:
             if isinstance(query, str):

@@ -53,6 +53,32 @@ class TestCollapsed:
         # Totals survive (attribution is name-only in folded format).
         assert back.total("samples") == 1000.0
 
+    def test_counts_written_exactly(self):
+        from repro.converters.collapsed import _sniff
+        for count in (13460610.0, 1e21, 0.1, 2.5e-07):
+            text = serialize(parse_collapsed(b"main;work %r\n" % count))
+            if count.is_integer():
+                assert text == "main;work %d\n" % count
+            assert _sniff(text.encode(), "x.folded")
+            assert parse_collapsed(text.encode()).total("samples") == count
+
+    def test_exported_medium_profile_reopens(self, tmp_path):
+        from repro.converters import pprof
+        from repro.ide import protocol as pvp
+        from repro.ide.session import ViewerSession
+        from repro.profilers.corpus import generate_bytes, tier
+        source = pprof.parse(generate_bytes(tier("medium"), compress=False))
+        path = tmp_path / "medium.folded"
+        path.write_text(serialize(source))
+        session = ViewerSession()
+        response = session.handle(pvp.Request(
+            method=pvp.VIEW_OPEN, id=1, params={"path": str(path)}))
+        assert response.ok, response.error
+        reopened = session._profiles[response.result["profileId"]].profile
+        assert reopened.meta.tool == "collapsed"
+        assert (reopened.total("samples")
+                == source.total(source.schema[0].name))
+
 
 class TestPerfScript:
     SAMPLE = (b"prog 1234 100.5: 250000 cycles:\n"

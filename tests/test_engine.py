@@ -404,3 +404,194 @@ class TestDefaultEngine:
         g2 = FlameGraph.top_down(build(ENTRIES), engine=engine)
         assert g1.tree is g2.tree
         assert engine.cache.stats.hits == 1
+
+
+def _layout_sig(flame):
+    return (flame.total_value, flame.laid_out_nodes,
+            [(r.node.frame, r.depth, r.x, r.width) for r in flame.rects])
+
+
+class TestStampedKeys:
+    """Stale-state regressions: one per path that moves a profile stamp
+    or drops a tree key.  Each warms the engine (transform, layout, line
+    attribution), mutates, and requires the engine's answer to equal an
+    uncached recompute."""
+
+    @staticmethod
+    def warm(engine, profile, metric_index=0):
+        tree = engine.transform(profile, "top_down")
+        engine.layout(tree, metric_index=metric_index)
+        engine.line_attribution(tree)
+        return tree
+
+    @staticmethod
+    def assert_fresh(engine, profile):
+        from repro.ide.annotations import line_attribution
+        from repro.viz.layout import layout
+        tree = engine.transform(profile, "top_down")
+        expected = transform(profile, "top_down")
+        assert viewtree_digest(tree) == viewtree_digest(expected)
+        assert (_layout_sig(engine.layout(tree))
+                == _layout_sig(layout(expected)))
+        assert engine.line_attribution(tree) == line_attribution(expected)
+
+    def test_add_sample(self):
+        from repro.core.frame import Frame
+        engine, profile = AnalysisEngine(), build(ENTRIES)
+        self.warm(engine, profile)
+        profile.add_sample([Frame(name="main", file="s.c", line=1),
+                            Frame(name="late", file="s.c", line=9)],
+                           {0: 3.0})
+        self.assert_fresh(engine, profile)
+
+    def test_add_value(self):
+        engine, profile = AnalysisEngine(), build(ENTRIES)
+        self.warm(engine, profile)
+        profile.find_by_name("work")[0].add_value(0, 5.0)
+        self.assert_fresh(engine, profile)
+
+    def test_set_value(self):
+        engine, profile = AnalysisEngine(), build(ENTRIES)
+        self.warm(engine, profile)
+        profile.find_by_name("idle")[0].set_value(0, 40.0)
+        self.assert_fresh(engine, profile)
+
+    def test_add_metric(self):
+        from repro.core.metric import Metric
+        engine, profile = AnalysisEngine(), build(ENTRIES)
+        self.warm(engine, profile)
+        profile.add_metric(Metric("wall", unit="ns"))
+        self.assert_fresh(engine, profile)
+        assert len(engine.transform(profile, "top_down").schema) == 2
+
+    def test_add_point(self):
+        from repro.core.digest import profile_key
+        from repro.core.monitor import MonitoringPoint, PointKind
+        engine, profile = AnalysisEngine(), build(ENTRIES)
+        self.warm(engine, profile)
+        before = profile_key(profile)
+        profile.add_point(MonitoringPoint(
+            kind=PointKind.PLAIN, contexts=[profile.find_by_name("work")[0]],
+            values={0: 1.0}, sequence=1))
+        # Points do not show in a view; they do move the key.
+        assert profile_key(profile) == profile_digest(profile) != before
+        misses = engine.cache.stats.misses
+        self.assert_fresh(engine, profile)
+        assert engine.cache.stats.misses > misses
+
+    #: Same shape as ENTRIES, other values: a CCT built from it reaches
+    #: the same ``_version``, so only the setter's own bump tells them apart.
+    SWAPPED = [(("main", "work"), (1.0,)), (("main", "work", "inner"), (2.0,)),
+               (("main", "idle"), (3.0,))]
+
+    def test_cct_setter(self):
+        engine, profile = AnalysisEngine(), build(ENTRIES)
+        self.warm(engine, profile)
+        replacement = build(self.SWAPPED).cct
+        assert replacement._version == profile.cct._version
+        profile.cct = replacement
+        self.assert_fresh(engine, profile)
+
+    def test_attach_columnar(self):
+        engine, profile = AnalysisEngine(), build(ENTRIES)
+        profile.attach_columnar(build(ENTRIES).columnar(build=True))
+        engine.layout(engine.transform(profile, "top_down"))
+        assert profile._cct is None  # still columnar-only: same stamp shape
+        profile.attach_columnar(build(self.SWAPPED).columnar(build=True))
+        self.assert_fresh(engine, profile)
+
+    def test_materializing_keeps_the_key(self):
+        from repro.core.digest import profile_key
+        profile = build(ENTRIES)
+        columnar_only = build([])
+        columnar_only.schema = profile.schema
+        columnar_only.attach_columnar(profile.columnar(build=True))
+        key = profile_key(columnar_only)
+        columnar_only.cct  # materialize the object tree
+        assert columnar_only._key_memo[0] == columnar_only.stamp()
+        assert profile_key(columnar_only) == key == profile_digest(profile)
+
+    def _assert_tree_fresh(self, engine, tree, metric_index):
+        from repro.viz.layout import layout
+        assert (_layout_sig(engine.layout(tree, metric_index=metric_index))
+                == _layout_sig(layout(tree, metric_index=metric_index)))
+
+    def test_formula_derive(self):
+        engine, profile = AnalysisEngine(), build(ENTRIES)
+        tree = self.warm(engine, profile, metric_index=1)
+        derive(tree, "dbl", "cpu * 2")
+        self._assert_tree_fresh(engine, tree, 1)
+
+    def test_add_delta_column(self):
+        engine = AnalysisEngine()
+        base, treat = build(ENTRIES), build([(("main", "work"), (99.0,))])
+        diff = engine.diff_trees(engine.transform(base, "top_down"),
+                                 engine.transform(treat, "top_down"))
+        engine.layout(diff, metric_index=1)
+        add_delta_column(diff, 0)
+        self._assert_tree_fresh(engine, diff, 1)
+
+    def test_mark_mutated_callback(self):
+        from repro.core.metric import Metric
+        engine, profile = AnalysisEngine(), build(ENTRIES)
+        tree = self.warm(engine, profile, metric_index=1)
+        # A derived-metric callback marks the tree mutated, then edits it.
+        Customization().derive(Metric("dbl"),
+                               lambda node, env: env["cpu"] * 2).finish(tree)
+        self._assert_tree_fresh(engine, tree, 1)
+
+    def test_repeat_requests_digest_nothing(self, monkeypatch):
+        import repro.core.digest as digest_mod
+        calls = {"profile": 0, "viewtree": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(digest_mod, "profile_digest",
+                            counting("profile", digest_mod.profile_digest))
+        monkeypatch.setattr(digest_mod, "viewtree_digest",
+                            counting("viewtree", digest_mod.viewtree_digest))
+        engine = AnalysisEngine()
+        profile, other = build(ENTRIES), build(ENTRIES[:1], tool="b")
+        tree = engine.transform(profile, "top_down")
+        assert calls == {"profile": 1, "viewtree": 0}
+        engine.transform(profile, "top_down")
+        engine.transform(profile, "bottom_up")
+        assert calls == {"profile": 1, "viewtree": 0}
+        engine.layout(tree)
+        engine.line_attribution(tree)
+        other_tree = engine.transform(other, "top_down")
+        merged = engine.merge_trees([tree, other_tree])
+        diff = engine.diff_trees(tree, other_tree)
+        engine.layout(merged)
+        engine.layout(diff)
+        engine.line_attribution(diff)
+        assert calls == {"profile": 2, "viewtree": 0}
+        # A tree built outside the engine is digested once, then memoized.
+        outside = transform(profile, "flat")
+        engine.layout(outside)
+        engine.line_attribution(outside)
+        assert calls["viewtree"] == 1
+
+    def test_keys_are_computed_inside_the_engine_span(self, monkeypatch):
+        import repro.core.digest as digest_mod
+        from repro.obs import get_tracer
+        tracer = get_tracer()
+        seen = []
+        original = digest_mod.profile_digest
+
+        def recording(profile):
+            seen.append(tracer.current_span().name)
+            return original(profile)
+
+        monkeypatch.setattr(digest_mod, "profile_digest", recording)
+        saved = tracer.enabled
+        tracer.configure(enabled=True)
+        try:
+            AnalysisEngine().transform(build(ENTRIES), "top_down")
+        finally:
+            tracer.configure(enabled=saved)
+        assert seen == ["engine.transform"]

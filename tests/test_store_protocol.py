@@ -91,3 +91,29 @@ class TestOpenQuery:
 
     def test_store_instance_is_cached_per_root(self, populated, session):
         assert session.store(populated) is session.store(populated)
+
+    def test_repeat_is_a_lookup(self, populated, session, monkeypatch):
+        from repro.store import ProfileStore
+        loads = []
+        original = ProfileStore.load
+
+        def counting(store, entry):
+            loads.append(entry.seq)
+            return original(store, entry)
+
+        monkeypatch.setattr(ProfileStore, "load", counting)
+        first = _request(session, pvp.VIEW_OPEN_QUERY, store=populated,
+                         query="service=api")
+        assert first.ok, first.error
+        assert len(loads) == 3  # both records for the merge, then seq 2
+        del loads[:]
+        again = _request(session, pvp.VIEW_OPEN_QUERY, store=populated,
+                         query="service=api", req_id=2)
+        assert again.ok, again.error
+        # Only the opened profile's own record (the newest) is loaded.
+        assert loads == [2]
+        ids = first.result.pop("profileId"), again.result.pop("profileId")
+        assert ids[0] != ids[1]
+        assert again.result == first.result
+        views = [session._profiles[i].views["top_down"] for i in ids]
+        assert views[0] is views[1]
